@@ -276,9 +276,8 @@ class RivuletProcess(RuntimeEnv):
         if not payload and network.send_multicast(name, dsts, kind):
             # Quiescent fast path: an empty-payload fan-out (the common
             # keepalive case) rides the cached per-peer delivery plan.
-            # False means a slow-path condition (partition, subscribers,
-            # kept records) — fall through to per-message sends, which
-            # record drops etc. exactly as before.
+            # False means an active partition — fall through to
+            # per-message sends, which record drops exactly as before.
             return
         wire_bytes = None
         for dst in dsts:

@@ -35,7 +35,7 @@ from repro.net.partition import PartitionState
 from repro.net.wire import wire_size
 from repro.sim.random import RandomSource
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import _FLUSH_BYTES, _PACK_D, _PACK_Q, Trace, _pack_str
+from repro.sim.tracing import Trace
 
 # _pair_cache entry layout: one list per (src, dst) pair ever used on the
 # send path, so one dict lookup resolves everything `send` needs.
@@ -58,17 +58,14 @@ _NO_PAIRS: dict[str, list] = {}
 _MP_DSTS = 0    # the dsts sequence the plan was built for (identity check)
 _MP_KIND = 1    # message kind the plan was built for
 _MP_EPOCH = 2   # membership epoch at build time
-_MP_STATE = 3   # the shared per-kind trace state list for net_send
-_MP_TALLY = 4   # the shared (net_send, kind) sub-tally cell
-_MP_SENDER = 5  # src endpoint object (None if src never registered)
-_MP_NBYTES = 6  # precomputed wire size (identical for every copy)
-_MP_PEERS = 7   # per-peer (pair entry, post tuple, pair cell, digest suffix)
-_MP_TBYTES = 8  # n * nbytes — the per-tick aggregate byte increment
-_MP_LAT = 9     # latency model the cached delay block was computed from
-_MP_LIVE = 10   # live process count it was computed for
-_MP_DELAY = 11  # pre-jitter delay (identical for every copy)
-_MP_NEG = 12    # jitter expansion intermediates (see RandomSource.jittered)
-_MP_SPAN = 13
+_MP_SENDER = 3  # src endpoint object (None if src never registered)
+_MP_NBYTES = 4  # precomputed wire size (identical for every copy)
+_MP_PEERS = 5   # per-peer (pair entry, post tuple, net_send channel)
+_MP_LAT = 6     # latency model the cached delay block was computed from
+_MP_LIVE = 7    # live process count it was computed for
+_MP_DELAY = 8   # pre-jitter delay (identical for every copy)
+_MP_NEG = 9     # jitter expansion intermediates (see RandomSource.jittered)
+_MP_SPAN = 10
 
 
 class Endpoint(Protocol):
@@ -222,54 +219,7 @@ class HomeNetwork:
         bytes_on_wire = message._wire_bytes
         if bytes_on_wire is None:
             bytes_on_wire = wire_size(message)
-        kind = message.kind
-        # MessageChannel.record inlined for the two hot configurations —
-        # aggregates-only (no kept events, no subscribers, no streaming
-        # hash) and aggregates+digest (the fleet's streaming-digest mode).
-        # Anything else falls back to the channel's full path. The digest
-        # arm reuses the channel's suffix memo and the trace's repr(time)
-        # memo and stages the payload string on the trace's hash buffer,
-        # byte-for-byte what MessageChannel.record would have done.
-        trace = self._trace
-        channel = entry[_SEND]
-        state = channel._state
-        if state[3] is None and state[4] is None and not trace._subscribers:
-            state[0] += 1
-            state[1] += bytes_on_wire
-            if kind == channel._last_tkind:
-                tally = channel._last_tally
-            else:
-                tallies = channel._tallies
-                tally = tallies.get(kind)
-                if tally is None:
-                    tallies[kind] = tally = [0, 0]
-                channel._last_tkind = kind
-                channel._last_tally = tally
-            tally[0] += 1
-            tally[1] += bytes_on_wire
-            channel._pair_cell[0] += 1
-            buf = trace._dig_buf
-            if buf is not None:
-                if now == trace._lt:
-                    tr = trace._ltr
-                else:
-                    trace._lt = now
-                    tr = trace._ltr = _PACK_D(now)
-                if kind == channel._last_sub and bytes_on_wire == channel._last_nb:
-                    payload = tr + channel._last_suffix
-                else:
-                    suffix = (channel._dig_bytes + _PACK_Q(bytes_on_wire)
-                              + channel._dig_mid + _pack_str(kind)
-                              + channel._dig_tail)
-                    channel._last_sub = kind
-                    channel._last_nb = bytes_on_wire
-                    channel._last_suffix = suffix
-                    payload = tr + suffix
-                buf += payload
-                if len(buf) >= _FLUSH_BYTES:
-                    trace._flush_hash()
-        else:
-            channel.record(now, kind, bytes_on_wire)
+        entry[_SEND].record(now, message.kind, bytes_on_wire)
 
         live = self._live_count_cache
         if live is None:
@@ -316,14 +266,13 @@ class HomeNetwork:
         One cached :class:`Message` per peer (identical empty payload →
         identical wire image, sized once; messages are immutable once sent,
         so reusing the instance across ticks is safe even with copies in
-        flight), its resolved pair entry, the ready-to-post delivery tuple,
-        and the constant digest suffix. Raises ``KeyError`` for unknown
+        flight), its resolved pair entry, the ready-to-post delivery tuple
+        and its ``net_send`` channel. Raises ``KeyError`` for unknown
         destinations exactly as the per-message path would.
         """
         peers = []
         sender = None
         nbytes: int | None = None
-        state = tally = None
         for dst in dsts:
             entry = self._pair_cache.get(src, _NO_PAIRS).get(dst)
             if entry is None:
@@ -333,36 +282,8 @@ class HomeNetwork:
             if nbytes is None:
                 nbytes = wire_size(message)
             message._wire_bytes = nbytes
-            channel = entry[_SEND]
-            if state is None:
-                # One per-kind state list and one (net_send, kind) tally
-                # cell are shared by every channel of the kind.
-                state = channel._state
-                tallies = channel._tallies
-                tally = tallies.get(kind)
-                if tally is None:
-                    tallies[kind] = tally = [0, 0]
-            suffix = (channel._dig_bytes + _PACK_Q(nbytes)
-                      + channel._dig_mid + _pack_str(kind)
-                      + channel._dig_tail)
-            # The delivery side is just as predictable as the send side:
-            # the copy's (src, dst, kind) are fixed, so the net_deliver
-            # aggregate cells and digest suffix can be prebound into the
-            # posted callback — _deliver_quiescent then skips the channel
-            # resolution and suffix memo entirely. Crash/partition checks
-            # stay per-delivery (they read live state).
-            dchannel = entry[_DELIVER]
-            dtallies = dchannel._tallies
-            dtally = dtallies.get(kind)
-            if dtally is None:
-                dtallies[kind] = dtally = [0, 0]
-            dsuffix = dchannel._dig_plain + _pack_str(kind) + dchannel._dig_tail
-            post = (self._deliver_quiescent,
-                    (entry, message, dchannel._state, dtally,
-                     dchannel._pair_cell, dsuffix))
-            peers.append((entry, post, channel._pair_cell, suffix))
-        plan = [dsts, kind, self._mcast_epoch, state, tally, sender,
-                nbytes, peers, len(peers) * (nbytes or 0),
+            peers.append((entry, (self._deliver, (entry, message)), entry[_SEND]))
+        plan = [dsts, kind, self._mcast_epoch, sender, nbytes, peers,
                 None, -1, 0.0, 0.0, 0.0]
         self._mcast_plans[src] = plan
         return plan
@@ -370,18 +291,14 @@ class HomeNetwork:
     def send_multicast(self, src: str, dsts, kind: str) -> bool:
         """Quiescent-path fan-out of one empty-payload message to ``dsts``.
 
-        Returns True when the multicast was fully handled; False when the
-        caller must fall back to per-message :meth:`send` — an active
-        partition (so per-peer drops are recorded exactly as before), a
-        trace with global subscribers, or kept/kind-subscribed net_send
-        records. The observable effects — trace aggregates, digest bytes,
-        RNG draw order, FIFO horizons, delivery schedule — are
-        bit-identical to the equivalent ``send`` loop.
+        Returns True when the multicast was fully handled; False under an
+        active partition, where the caller must fall back to per-message
+        :meth:`send` so per-peer drops are recorded exactly as before. The
+        observable effects — trace aggregates, kept events, subscriber
+        calls, digest bytes, RNG draw order, FIFO horizons, delivery
+        schedule — are bit-identical to the equivalent ``send`` loop.
         """
         if self.partition.group_of is not None:
-            return False
-        trace = self._trace
-        if trace._subscribers:
             return False
         plan = self._mcast_plans.get(src)
         if (
@@ -392,12 +309,8 @@ class HomeNetwork:
         ):
             plan = self._build_mcast_plan(src, dsts, kind)
         peers = plan[_MP_PEERS]
-        n = len(peers)
-        if n == 0:
+        if not peers:
             return True
-        state = plan[_MP_STATE]
-        if state[3] is not None or state[4] is not None:
-            return False
         sender = plan[_MP_SENDER]
         if sender is not None and not sender.alive:
             # A crashed process performs no activity (matches `send`).
@@ -405,25 +318,7 @@ class HomeNetwork:
 
         scheduler = self._scheduler
         now = scheduler._now
-        # Aggregates are batched per tick instead of per peer: nothing can
-        # observe them between the copies of one fan-out, and the per-peer
-        # digest records below carry the per-copy ordering.
-        tbytes = plan[_MP_TBYTES]
-        state[0] += n
-        state[1] += tbytes
-        tally = plan[_MP_TALLY]
-        tally[0] += n
-        tally[1] += tbytes
-
-        buf = trace._dig_buf
-        hashing = buf is not None
-        if hashing:
-            if now == trace._lt:
-                tr = trace._ltr
-            else:
-                trace._lt = now
-                tr = trace._ltr = _PACK_D(now)
-
+        nbytes = plan[_MP_NBYTES]
         live = self._live_count_cache
         if live is None:
             live = self.live_process_count()
@@ -440,7 +335,6 @@ class HomeNetwork:
             span = plan[_MP_SPAN]
         else:
             lat = self.latency
-            nbytes = plan[_MP_NBYTES]
             base_delay = (
                 lat.base_latency
                 + nbytes / lat.bandwidth_bytes_per_s
@@ -461,109 +355,24 @@ class HomeNetwork:
 
         buckets = scheduler._buckets
         heap = scheduler._heap
-        # The peer loop is duplicated by digest mode: with hashing on, the
-        # timestamp and suffix are staged as two pieces (the hash runs over
-        # the buffer's concatenation, so piece boundaries are digest-
-        # neutral); with it off, the loop carries no digest work at all.
-        if hashing:
-            for entry, post, pair_cell, suffix in peers:
-                pair_cell[0] += 1
-                buf += tr
-                buf += suffix
-                # One jitter draw per destination, in dsts order: the RNG
-                # sequence is exactly the per-message path's.
-                delay = base_delay * (1.0 + (neg + span * random()))
-                deliver_at = now + delay
-                horizon = entry[_HORIZON]
-                if deliver_at <= horizon:
-                    deliver_at = horizon + 1e-9
-                entry[_HORIZON] = deliver_at
-                bucket = buckets.get(deliver_at)
-                if bucket is None:
-                    buckets[deliver_at] = bucket = [post]
-                    heappush(heap, (deliver_at, bucket))
-                else:
-                    bucket.append(post)
-        else:
-            for entry, post, pair_cell, suffix in peers:
-                pair_cell[0] += 1
-                delay = base_delay * (1.0 + (neg + span * random()))
-                deliver_at = now + delay
-                horizon = entry[_HORIZON]
-                if deliver_at <= horizon:
-                    deliver_at = horizon + 1e-9
-                entry[_HORIZON] = deliver_at
-                bucket = buckets.get(deliver_at)
-                if bucket is None:
-                    buckets[deliver_at] = bucket = [post]
-                    heappush(heap, (deliver_at, bucket))
-                else:
-                    bucket.append(post)
-        scheduler._live += n
-        if hashing and len(buf) >= _FLUSH_BYTES:
-            trace._flush_hash()
+        for entry, post, channel in peers:
+            channel.record(now, kind, nbytes)
+            # One jitter draw per destination, in dsts order: the RNG
+            # sequence is exactly the per-message path's.
+            delay = base_delay * (1.0 + (neg + span * random()))
+            deliver_at = now + delay
+            horizon = entry[_HORIZON]
+            if deliver_at <= horizon:
+                deliver_at = horizon + 1e-9
+            entry[_HORIZON] = deliver_at
+            bucket = buckets.get(deliver_at)
+            if bucket is None:
+                buckets[deliver_at] = bucket = [post]
+                heappush(heap, (deliver_at, bucket))
+            else:
+                bucket.append(post)
+        scheduler._live += len(peers)
         return True
-
-    def _deliver_quiescent(
-        self,
-        entry: list,
-        message: Message,
-        state: list,
-        tally: list,
-        pair_cell: list,
-        suffix: str,
-    ) -> None:
-        """Deliver one quiescent multicast copy with prebound accounting.
-
-        The multicast plan fixes the copy's (src, dst, kind), so the
-        net_deliver state list, sub-kind tally, pair cell and digest suffix
-        arrive as arguments instead of being resolved per delivery.
-        Observable effects are bit-identical to :meth:`_deliver` on the
-        same message: same drop records, same aggregates, same digest
-        bytes, same handler dispatch. Liveness, partition state and the
-        observer gates are still read fresh — fault injection mid-flight
-        lands on exactly the paths the generic route would take.
-        """
-        endpoint = entry[_DST]
-        if not endpoint.alive:
-            self._drop_channel(entry, message.src, message.dst).record(
-                self._scheduler._now, message.kind, None, "dst_crashed"
-            )
-            return
-        partition = self.partition
-        if partition.group_of is not None and not partition.can_communicate(
-            message.src, message.dst
-        ):
-            self._drop_channel(entry, message.src, message.dst).record(
-                self._scheduler._now, message.kind, None, "partition"
-            )
-            return
-        kind = message.kind
-        trace = self._trace
-        if state[3] is None and state[4] is None and not trace._subscribers:
-            state[0] += 1
-            tally[0] += 1
-            pair_cell[0] += 1
-            buf = trace._dig_buf
-            if buf is not None:
-                # Quiescent copies land at per-copy jittered instants, so
-                # the same-instant timestamp memo would never hit here —
-                # pack directly and leave the memo to the chained lanes.
-                # Staged as two pieces: the hash runs over the buffer's
-                # accumulated bytes, so the split is digest-neutral.
-                buf += _PACK_D(self._scheduler._now)
-                buf += suffix
-                if len(buf) >= _FLUSH_BYTES:
-                    trace._flush_hash()
-        else:
-            entry[_DELIVER].record(self._scheduler._now, kind)
-        handlers = entry[_HANDLERS]
-        if handlers is not None:
-            handler = handlers.get(kind)
-            if handler is not None:
-                handler(message)
-                return
-        endpoint.deliver(message)
 
     def _deliver(self, entry: list, message: Message) -> None:
         endpoint = entry[_DST]
@@ -581,45 +390,7 @@ class HomeNetwork:
             )
             return
         kind = message.kind
-        trace = self._trace
-        channel = entry[_DELIVER]
-        state = channel._state
-        if state[3] is None and state[4] is None and not trace._subscribers:
-            # Same inline as `send` (no bytes field on deliver records).
-            state[0] += 1
-            if kind == channel._last_tkind:
-                tally = channel._last_tally
-            else:
-                tallies = channel._tallies
-                tally = tallies.get(kind)
-                if tally is None:
-                    tallies[kind] = tally = [0, 0]
-                channel._last_tkind = kind
-                channel._last_tally = tally
-            tally[0] += 1
-            channel._pair_cell[0] += 1
-            buf = trace._dig_buf
-            if buf is not None:
-                now = self._scheduler._now
-                if now == trace._lt:
-                    tr = trace._ltr
-                else:
-                    trace._lt = now
-                    tr = trace._ltr = _PACK_D(now)
-                if kind == channel._last_sub and channel._last_nb is None:
-                    payload = tr + channel._last_suffix
-                else:
-                    suffix = (channel._dig_plain + _pack_str(kind)
-                              + channel._dig_tail)
-                    channel._last_sub = kind
-                    channel._last_nb = None
-                    channel._last_suffix = suffix
-                    payload = tr + suffix
-                buf += payload
-                if len(buf) >= _FLUSH_BYTES:
-                    trace._flush_hash()
-        else:
-            channel.record(self._scheduler._now, kind)
+        entry[_DELIVER].record(self._scheduler._now, kind)
         # Dispatch straight to the destination's handler when we hold its
         # live handler dict (liveness was checked above; a crash clears the
         # dict in place, so the cached reference never goes stale). The

@@ -46,7 +46,10 @@ MAGIC = "rivulet-fleet-snapshot"
 #: Version 2: trace digests inside the snapshot (sealed segments, memos)
 #: use the binary digest-v2 encoding; a v1 snapshot restored here would
 #: fold v1 sealed segments into v2 digests and never match anything.
-FORMAT_VERSION = 2
+#: Version 3: the radio, sensors and delivery services hold pre-resolved
+#: trace channels instead of precomposed digest bytes, so a v2 pickle
+#: restores objects that lack the attributes this build records through.
+FORMAT_VERSION = 3
 
 
 class SnapshotError(RuntimeError):

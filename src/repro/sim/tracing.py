@@ -15,15 +15,13 @@ O(1) appends and O(1) aggregate queries:
   per-``(kind, sub-kind)`` message tallies and per-``(src, dst)`` pair
   counts — are maintained inside ``record()`` so accounting helpers such as
   :meth:`repro.net.transport.HomeNetwork.bytes_sent` never re-scan;
-- the hottest record families bypass the kwargs path entirely:
-  :meth:`Trace.message_channel` hands the transport a per-``(kind, src,
-  dst)`` :class:`MessageChannel` with every aggregate cell pre-resolved, and
-  :meth:`Trace.record_device` is the positional lane for the radio/device
-  kinds (``radio_*``, ``poll_*``, ``command_*``, ``sensor_*``) whose
-  records carry no aggregate fields;
-- perf runs can opt into ``quiet=True`` (aggregates only: no stored events,
-  no subscribers, no digest) or ``sample_every=N`` (store every Nth event
-  per kind; aggregates stay exact) to bound trace overhead and memory;
+- the hottest record families bypass the kwargs path entirely, through
+  one pre-resolved recorder per record flow: :meth:`Trace.message_channel`
+  hands the transport a per-``(kind, src, dst)`` :class:`MessageChannel`,
+  and :meth:`Trace.device_channel` hands the radio and device layers a
+  per-``(kind, sensor, process)`` :class:`DeviceChannel`. This module is
+  the only one that knows the digest framing and the fast-path gate;
+  :meth:`Trace.record_device` is a thin resolver over device channels;
 - ``events`` / ``of_kind`` return **read-only views** over internal lists
   (no copying); ``iter_kind`` is the matching lazy iterator;
 - :class:`TraceEvent` is slot-based, and ``digest()`` provides a stable
@@ -257,16 +255,6 @@ class Trace:
 
     ``digest=True`` additionally feeds every record (kept or not) through a
     streaming hash; :meth:`digest` then works even when nothing is stored.
-
-    Two opt-in modes bound trace overhead on perf runs:
-
-    - ``quiet=True`` maintains aggregates only: no events are stored, no
-      subscribers may attach, ``digest()`` is unavailable. The record fast
-      lanes then reduce to a handful of counter increments.
-    - ``sample_every=N`` stores only every Nth record of each kind (the
-      1st, the N+1th, ...). Aggregates stay exact; the streaming hash (if
-      enabled) still covers every record, so ``digest()`` with
-      ``digest=True`` is unaffected by sampling.
     """
 
     # _kind_state value layout: one mutable list per record kind, looked up
@@ -277,6 +265,9 @@ class Trace:
     _PROFILE = 2     # _HAS_* bitmask, decided on first sight of the kind
     _KEPT = 3        # per-kind list of kept TraceEvents, or None
     _SUBS = 4        # kind-scoped subscriber list, or None
+    _PLAIN = 5       # True while no kept list and no subscriber (scoped or
+                     # global) needs the kind's records: the one-load gate
+                     # of the channels' count+digest fast path
 
     _HAS_BYTES = 1
     _HAS_SUB = 2
@@ -287,13 +278,7 @@ class Trace:
         keep_kinds: set[str] | None = None,
         *,
         digest: bool = False,
-        quiet: bool = False,
-        sample_every: int | None = None,
     ) -> None:
-        if quiet and digest:
-            raise ValueError("quiet=True maintains no digest; drop digest=True")
-        if sample_every is not None and sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
         self._events: list[TraceEvent] = []
         self._by_kind: dict[str, list[TraceEvent]] = {}
         self._kind_state: dict[str, list] = {}
@@ -305,8 +290,8 @@ class Trace:
         # reference without re-hashing the key.
         self._pair_counts: dict[tuple[str, str, str], list[int]] = {}
         self._keep_kinds = keep_kinds
-        self._quiet = quiet
-        self._sample = sample_every if sample_every != 1 else None
+        # (kind, sensor, process) -> DeviceChannel, resolved by record_device.
+        self._device_channels: dict[tuple, DeviceChannel] = {}
         self._subscribers: list[Callable[[TraceEvent], None]] = []
         self._kind_subscribers: dict[str, list[Callable[[TraceEvent], None]]] = {}
         self._hasher = _new_hasher() if digest else None
@@ -320,9 +305,9 @@ class Trace:
         # hash runs over the accumulated bytes, so how payloads were split
         # when appended is digest-neutral.
         self._hash_buf = bytearray()
-        # One-load digest gate for the inline lanes: the staging buffer
-        # itself when a streaming hash is live, None otherwise — so the
-        # hottest paths test and fetch with a single attribute load.
+        # One-load digest gate for the channel fast paths: the staging
+        # buffer itself when a streaming hash is live, None otherwise — so
+        # the hottest paths test and fetch with a single attribute load.
         self._dig_buf = self._hash_buf if digest else None
         # Cache of the last packed timestamp. Same-instant records are
         # common (all of a home's processes heartbeat on one bucket edge),
@@ -332,16 +317,10 @@ class Trace:
         # Same idea for the last packed sequence number: one emission
         # digests its seq as sensor_emit then radio_emit back-to-back, and
         # one radio delivery as radio_delivered then ingest_unrouted, so
-        # roughly every second seq packing on the device lanes is a repeat.
+        # roughly every second seq packing on the device channels is a
+        # repeat.
         self._ls = -1
         self._lsr = _pack_int(-1)
-        # One-load summary of the *kind-independent* observers: True once a
-        # streaming hash exists or a global (unscoped) subscriber was
-        # registered. Kind-scoped subscribers live in the per-kind state
-        # (slot 4), so fast lanes test kept-list, kind-subs and this flag —
-        # three loads instead of four, and records of unsubscribed kinds
-        # keep their fast path when only specific kinds are watched.
-        self._has_observers = digest
 
     def _new_kind(self, kind: str, fields: dict[str, Any]) -> list:
         """First record of ``kind``: fix its aggregate profile and wiring.
@@ -356,28 +335,29 @@ class Trace:
             | (self._HAS_PAIR if "src" in fields and "dst" in fields else 0)
         )
         kept: list[TraceEvent] | None = None
-        if not self._quiet and (self._keep_kinds is None or kind in self._keep_kinds):
+        if self._keep_kinds is None or kind in self._keep_kinds:
             kept = self._by_kind.setdefault(kind, [])
         if profile & self._HAS_SUB:
             self._sub_tallies.setdefault(kind, {})
-        state = [0, 0, profile, kept, self._kind_subscribers.get(kind)]
+        subs = self._kind_subscribers.get(kind)
+        plain = kept is None and subs is None and not self._subscribers
+        state = [0, 0, profile, kept, subs, plain]
         self._kind_state[kind] = state
         return state
 
     def _finish(self, time: float, kind: str, state: list, fields: dict[str, Any]) -> None:
         """Store / notify / hash one record whose fields dict is built.
 
-        Shared slow tail of the fast lanes; only called when at least one
-        of kept-storage, subscribers or the streaming hash needs the event.
+        Shared tail of every lane: :meth:`record`, :meth:`record_message`
+        and the channels' non-plain records. Only called when kept-storage,
+        a subscriber or the streaming hash needs the record.
         """
         event = None
         kept = state[3]
         if kept is not None:
-            sample = self._sample
-            if sample is None or (state[0] - 1) % sample == 0:
-                event = TraceEvent(time, kind, fields)
-                self._events.append(event)
-                kept.append(event)
+            event = TraceEvent(time, kind, fields)
+            self._events.append(event)
+            kept.append(event)
         kind_subs = state[4]
         if kind_subs is not None or self._subscribers:
             if event is None:
@@ -434,28 +414,8 @@ class Trace:
                     else:
                         cell[0] += 1
 
-        event = None
-        kept = state[3]
-        if kept is not None:
-            sample = self._sample
-            if sample is None or (state[0] - 1) % sample == 0:
-                event = TraceEvent(time, kind, fields)
-                self._events.append(event)
-                kept.append(event)
-        kind_subs = state[4]
-        if kind_subs is not None or self._subscribers:
-            if event is None:
-                event = TraceEvent(time, kind, fields)
-            for subscriber in self._subscribers:
-                subscriber(event)
-            if kind_subs is not None:
-                for subscriber in kind_subs:
-                    subscriber(event)
-        if self._hasher is not None:
-            buf = self._hash_buf
-            buf += _record_bytes(time, kind, fields)
-            if len(buf) >= _FLUSH_BYTES:
-                self._flush_hash()
+        if not state[5] or self._hasher is not None:
+            self._finish(time, kind, state, fields)
 
     def record_message(
         self,
@@ -502,7 +462,7 @@ class Trace:
         else:
             cell[0] += 1
 
-        if state[3] is not None or state[4] is not None or self._has_observers:
+        if not state[5] or self._hasher is not None:
             fields = {"src": src, "dst": dst, "kind": sub_kind}
             if nbytes is not None:
                 fields["bytes"] = nbytes
@@ -520,61 +480,20 @@ class Trace:
         seq: Any = None,
         action: str | None = None,
     ) -> None:
-        """Device-path fast lane for :meth:`record`.
+        """Positional device-record entry point; same record as
+        ``record(time, kind, <id_field>=id_value, [process=...], [seq=...],
+        [action=...])`` on every generic-path record.
 
-        Semantically identical to ``record(time, kind, <id_field>=id_value,
-        [process=...], [seq=...], [action=...])`` — same counts, same kept
-        events, same digest bytes — but positional, and the fields dict is
-        only built when storage, a subscriber or the streaming hash needs
-        it. Intended for the radio/device record kinds (``radio_*``,
-        ``poll_*``, ``command_*``, ``sensor_*``) whose schemas carry no
-        aggregate fields; kinds that do carry them (``bytes``, ``kind``,
-        ``src``+``dst``) fall back to the generic path.
+        The ``sensor``-keyed, action-less shape — every radio, poll and
+        ingest record — goes through a cached :class:`DeviceChannel`, so
+        device records have exactly one digest composer. Other shapes
+        (actuator commands) take the generic path.
         """
-        state = self._kind_state.get(kind)
-        if state is None or state[2]:
-            fields = {id_field: id_value}
-            if process is not None:
-                fields["process"] = process
-            if seq is not None:
-                fields["seq"] = seq
-            if action is not None:
-                fields["action"] = action
-            self.record(time, kind, **fields)
-            return
-        state[0] += 1
-        if state[3] is None and state[4] is None and not self._subscribers:
-            buf = self._dig_buf
-            if buf is None:
-                return
-            if id_field == "sensor" and action is None:
-                # Digest-only fast path for the hot radio shapes. Sorted
-                # key order is fixed by the alphabet — "process" < "sensor"
-                # < "seq" — so the payload is composed directly,
-                # byte-identical to _record_bytes over the fields dict.
-                if time == self._lt:
-                    tr = self._ltr
-                else:
-                    self._lt = time
-                    tr = self._ltr = _PACK_D(time)
-                n = 1 + (process is not None) + (seq is not None)
-                if process is None:
-                    payload = (tr + _NF[n] + _kind_lp(kind)
-                               + _K_SENSOR + _pack_str(id_value))
-                else:
-                    payload = (tr + _NF[n] + _kind_lp(kind)
-                               + _K_PROCESS + _pack_str(process)
-                               + _K_SENSOR + _pack_str(id_value))
-                if seq is not None:
-                    payload += _K_SEQ + (
-                        _pack_int(seq) if type(seq) is int else _pack_value(seq)
-                    )
-                buf += payload
-                if len(buf) >= _FLUSH_BYTES:
-                    self._flush_hash()
-                return
-        elif not (state[3] is not None or state[4] is not None
-                  or self._has_observers):
+        if id_field == "sensor" and action is None:
+            channel = self._device_channels.get((kind, id_value, process))
+            if channel is None:
+                channel = self.device_channel(kind, id_value, process)
+            channel.record(time, seq)
             return
         fields = {id_field: id_value}
         if process is not None:
@@ -583,7 +502,24 @@ class Trace:
             fields["seq"] = seq
         if action is not None:
             fields["action"] = action
-        self._finish(time, kind, state, fields)
+        self.record(time, kind, **fields)
+
+    def device_channel(
+        self, kind: str, sensor: str, process: str | None = None
+    ) -> "DeviceChannel":
+        """A pre-resolved recorder for one ``(kind, sensor, process)``
+        device-record flow — the device-side counterpart of
+        :meth:`message_channel`. Callers on hot paths (radio fan-out,
+        sensor emission, unrouted ingest) hold one per flow; equal keys
+        share one channel.
+        """
+        key = (kind, sensor, process)
+        channel = self._device_channels.get(key)
+        if channel is None:
+            self._device_channels[key] = channel = DeviceChannel(
+                self, kind, sensor, process
+            )
+        return channel
 
     def message_channel(self, kind: str, src: str, dst: str) -> "MessageChannel":
         """A pre-resolved recorder for one ``(kind, src, dst)`` message flow.
@@ -621,11 +557,10 @@ class Trace:
         crucially for long runs — records of *other* kinds skip event
         construction entirely when nothing else needs one.
         """
-        if self._quiet:
-            raise RuntimeError("subscribe() on a quiet trace (aggregates only)")
         if kinds is None:
-            self._has_observers = True
             self._subscribers.append(callback)
+            for state in self._kind_state.values():
+                state[self._PLAIN] = False
         else:
             for kind in kinds:
                 subs = self._kind_subscribers.setdefault(kind, [])
@@ -633,6 +568,7 @@ class Trace:
                 state = self._kind_state.get(kind)
                 if state is not None:
                     state[self._SUBS] = subs
+                    state[self._PLAIN] = False
 
     # -- aggregates (maintained incrementally, all O(1)-ish) -------------------
 
@@ -719,12 +655,9 @@ class Trace:
             if self._sealed:
                 return _fold_segments(self._sealed, _hexdigest(self._hasher))
             return _hexdigest(self._hasher)
-        if self._quiet:
-            raise RuntimeError("digest() on a quiet trace (aggregates only)")
-        if self._keep_kinds is not None or self._sample is not None:
+        if self._keep_kinds is not None:
             raise RuntimeError(
-                "digest() on a kind-limited or sampled trace requires "
-                "Trace(digest=True)"
+                "digest() on a kind-limited trace requires Trace(digest=True)"
             )
         hasher = _new_hasher()
         for event in self._events:
@@ -794,15 +727,15 @@ class MessageChannel:
 
     Every aggregate cell — the kind's state list, its sub-kind tally map
     and the pair-count cell — is resolved once at construction, so
-    :meth:`record` performs no tuple-key hashing. Semantics are identical
-    to ``Trace.record_message(time, kind, src, dst, sub_kind, nbytes,
-    reason)``: same counts, same kept events, same digest bytes.
+    :meth:`record` performs no tuple-key hashing. Counts, tallies, pair
+    counts, kept events and subscriber calls are those of
+    ``Trace.record_message(time, kind, src, dst, sub_kind, nbytes,
+    reason)``; see :class:`DeviceChannel` for when the digest bytes match.
     """
 
     __slots__ = ("_trace", "_state", "_tallies", "_pair_cell", "kind", "src", "dst",
                  "_dig_plain", "_dig_bytes", "_dig_mid", "_dig_tail",
-                 "_last_sub", "_last_nb", "_last_suffix",
-                 "_last_tkind", "_last_tally")
+                 "_last_sub", "_last_tally", "_last_nb", "_last_suffix")
 
     def __init__(
         self,
@@ -827,25 +760,26 @@ class MessageChannel:
         # everything else is fixed at construction: with a bytes field the
         # sorted key order is (bytes, dst, kind, src); without it
         # (dst, kind, src). The fast path below concatenates these with
-        # the three variable packings and feeds the hasher directly —
-        # byte-identical to _record_bytes over the equivalent fields dict,
-        # without building it. _dig_bytes ends with the int tag byte, so
-        # only the raw 8-byte int64 packing of nbytes follows it.
+        # the three variable packings and feeds the hasher directly,
+        # without building a fields dict. Strings take the compact
+        # one-byte length prefix of docs/performance.md; _record_bytes
+        # frames them with four bytes instead (see _record_bytes).
+        # _dig_bytes ends with the int tag byte, so only the raw 8-byte
+        # int64 packing of nbytes follows it.
         self._dig_plain = (_NF[3] + _kind_lp(kind)
                            + _K_DST + _pack_str(dst) + _K_KIND)
         self._dig_bytes = _NF[4] + _kind_lp(kind) + _K_BYTES + b"q"
         self._dig_mid = _K_DST + _pack_str(dst) + _K_KIND
         self._dig_tail = _K_SRC + _pack_str(src)
-        # (sub_kind, nbytes) -> composed suffix memo of depth one. A
-        # channel's records are overwhelmingly a single repeated shape
-        # (keepalives of a fixed wire size), so the whole digest payload
-        # minus the timestamp is usually one cached byte string.
+        # Depth-one memo of the last sub-kind's tally cell and, for the
+        # last (sub_kind, nbytes), the composed digest suffix. A channel's
+        # records are overwhelmingly a single repeated shape (keepalives of
+        # a fixed wire size), so the whole digest payload minus the
+        # timestamp is usually one cached byte string. -1 marks no suffix.
         self._last_sub: str | None = None
-        self._last_nb: int | None = None
-        self._last_suffix = b""
-        # Last sub-kind tally cell, memoised for the same reason.
-        self._last_tkind: str | None = None
         self._last_tally: list[int] | None = None
+        self._last_nb: int | None = -1
+        self._last_suffix = b""
 
     def record(
         self,
@@ -856,22 +790,23 @@ class MessageChannel:
     ) -> None:
         state = self._state
         state[0] += 1
-        if sub_kind == self._last_tkind:
+        if sub_kind == self._last_sub:
             tally = self._last_tally
         else:
             tallies = self._tallies
             tally = tallies.get(sub_kind)
             if tally is None:
                 tallies[sub_kind] = tally = [0, 0]
-            self._last_tkind = sub_kind
+            self._last_sub = sub_kind
             self._last_tally = tally
+            self._last_nb = -1  # the memoised suffix belongs to another sub-kind
         tally[0] += 1
         if nbytes is not None:
             state[1] += nbytes
             tally[1] += nbytes
         self._pair_cell[0] += 1
         trace = self._trace
-        if state[3] is None and state[4] is None and not trace._subscribers:
+        if state[5]:
             buf = trace._dig_buf
             if buf is None:
                 return
@@ -881,8 +816,8 @@ class MessageChannel:
                 else:
                     trace._lt = time
                     tr = trace._ltr = _PACK_D(time)
-                if sub_kind == self._last_sub and nbytes == self._last_nb:
-                    payload = tr + self._last_suffix
+                if nbytes == self._last_nb:
+                    suffix = self._last_suffix
                 else:
                     if nbytes is None:
                         suffix = (self._dig_plain + _pack_str(sub_kind)
@@ -891,17 +826,13 @@ class MessageChannel:
                         suffix = (self._dig_bytes + _PACK_Q(nbytes)
                                   + self._dig_mid + _pack_str(sub_kind)
                                   + self._dig_tail)
-                    self._last_sub = sub_kind
                     self._last_nb = nbytes
                     self._last_suffix = suffix
-                    payload = tr + suffix
-                buf += payload
+                buf += tr
+                buf += suffix
                 if len(buf) >= _FLUSH_BYTES:
                     trace._flush_hash()
                 return
-        elif not (state[3] is not None or state[4] is not None
-                  or trace._has_observers):
-            return
         fields = {"src": self.src, "dst": self.dst, "kind": sub_kind}
         if nbytes is not None:
             fields["bytes"] = nbytes
@@ -911,6 +842,97 @@ class MessageChannel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MessageChannel {self.kind} {self.src}->{self.dst}>"
+
+
+class DeviceChannel:
+    """A per-``(kind, sensor, process)`` recorder handed out by
+    :meth:`Trace.device_channel`: the device-side :class:`MessageChannel`.
+
+    Its records carry ``sensor``, an optional ``process`` and an optional
+    ``seq``. The constant middle of the digest payload (field count, kind,
+    process, sensor) is composed once, so :meth:`record` owns the count,
+    the digest append — with the trace's packed time and seq memos — and
+    the kept/subscriber fallback.
+
+    The kind's state is resolved lazily. Until the kind has been seen, for
+    kinds whose profile carries aggregate fields, and for a non-int
+    ``seq``, records take the generic path and are framed by
+    :func:`_record_bytes`. Only count+digest records of int (or absent)
+    seq use the precomposed compact framing, so the digest of a record
+    depends on its lane (``test_digest_independent_of_kept_kinds`` pins
+    that defect; message channels share it).
+    """
+
+    __slots__ = ("_trace", "kind", "sensor", "process", "_state",
+                 "_mid", "_mid_noseq")
+
+    def __init__(
+        self, trace: Trace, kind: str, sensor: str, process: str | None
+    ) -> None:
+        self._trace = trace
+        self.kind = kind
+        self.sensor = sensor
+        self.process = process
+        self._state: list | None = None
+        # Sorted key order is fixed by the alphabet: "process" < "sensor"
+        # < "seq". _mid ends with the seq key; the packed seq follows it.
+        if process is None:
+            n, ids = 1, _K_SENSOR + _pack_str(sensor)
+        else:
+            n, ids = 2, (_K_PROCESS + _pack_str(process)
+                         + _K_SENSOR + _pack_str(sensor))
+        self._mid = _NF[n + 1] + _kind_lp(kind) + ids + _K_SEQ
+        self._mid_noseq = _NF[n] + _kind_lp(kind) + ids
+
+    def _fields(self, seq: Any) -> dict[str, Any]:
+        fields = {"sensor": self.sensor}
+        if self.process is not None:
+            fields["process"] = self.process
+        if seq is not None:
+            fields["seq"] = seq
+        return fields
+
+    def record(self, time: float, seq: Any = None) -> None:
+        trace = self._trace
+        state = self._state
+        if state is None:
+            state = trace._kind_state.get(self.kind)
+            if state is None or state[2]:
+                trace.record(time, self.kind, **self._fields(seq))
+                return
+            self._state = state
+        state[0] += 1
+        if state[5]:
+            buf = trace._dig_buf
+            if buf is None:
+                return
+            if time == trace._lt:
+                tr = trace._ltr
+            else:
+                trace._lt = time
+                tr = trace._ltr = _PACK_D(time)
+            if type(seq) is int:
+                if seq == trace._ls:
+                    sr = trace._lsr
+                else:
+                    trace._ls = seq
+                    sr = trace._lsr = _pack_int(seq)
+                buf += tr
+                buf += self._mid
+                buf += sr
+            elif seq is None:
+                buf += tr
+                buf += self._mid_noseq
+            else:
+                trace._finish(time, self.kind, state, self._fields(seq))
+                return
+            if len(buf) >= _FLUSH_BYTES:
+                trace._flush_hash()
+            return
+        trace._finish(time, self.kind, state, self._fields(seq))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<DeviceChannel {self.kind} {self.sensor}@{self.process}>"
 
 
 _EMPTY_DICT: dict = {}
@@ -958,6 +980,9 @@ def _record_bytes(time: float, kind: str, fields: dict[str, Any]) -> bytes:
         # Exact-type dispatch mirrors _pack_value's scalar branches,
         # inlined to skip a call per field on the hot path.
         if t is str:
+            # A flat 4-byte length, not the compact prefix _pack_value and
+            # the channels use: a known divergence that only a
+            # DIGEST_VERSION bump may fix (test_digest_independent_of_kept_kinds).
             encoded = value.encode("utf-8", "backslashreplace")
             append(b"s" + _PACK_I(len(encoded)) + encoded)
         elif t is float:
